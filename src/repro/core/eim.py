@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.assignment import covering_radius
+from repro.core.evaluation import final_radius
 from repro.core.gonzalez import gonzalez_trace
 from repro.core.result import KCenterResult
 from repro.errors import CapacityError, ConvergenceError, InvalidParameterError
@@ -312,7 +312,10 @@ def eim(
     # Same zero-copy scope as MRG/MRHS: in-memory coordinates published
     # once per job for process-pool rounds (repro.store.shm); every task
     # below binds ``task_space``, which pickles as a ~100-byte handle
-    # inside the scope and is the space itself otherwise.
+    # inside the scope and is the space itself otherwise.  The scope
+    # spans the final evaluation too, so the job publishes exactly once.
+    eval_timer = Timer()
+    radius = 0.0
     with wall, shared_space(space, cluster.executor) as task_space:
         remaining = np.arange(n, dtype=np.intp)  # R, as sorted global indices
         # d(x, S_old) for x in R, aligned with `remaining`; maintained
@@ -456,11 +459,9 @@ def eim(
             task_sizes=[len(candidates)],
         )
 
-    eval_timer = Timer()
-    radius = 0.0
-    if evaluate:
-        with eval_timer:
-            radius = covering_radius(space, centers)
+        if evaluate:
+            with wall.paused(), eval_timer:
+                radius = final_radius(cluster, task_space, centers)
 
     # 4*alpha + 2 with alpha = 2 (GON) = 10, valid w.s.p. only above the
     # paper's phi threshold; no a-priori bound below it (Section 8.3).

@@ -37,9 +37,8 @@ import math
 
 import numpy as np
 
-from repro.core.assignment import covering_radius
+from repro.core.evaluation import _bind_views_eagerly, final_radius
 from repro.core.hochbaum_shmoys import MAX_POINTS, hochbaum_shmoys
-from repro.core.mrg import _bind_views_eagerly
 from repro.core.result import KCenterResult
 from repro.errors import CapacityError, InvalidParameterError
 from repro.mapreduce.cluster import SimulatedCluster
@@ -68,7 +67,7 @@ def _hs_shard_task(
     back in the :class:`TaskOutput` for exact round accounting.
     ``bound=True`` means ``space`` is already this machine's view
     (prebuilt at schedule time so a process-pool task ships only its
-    shard's rows; see :func:`repro.core.mrg._bind_views_eagerly`).
+    shard's rows; see :func:`repro.core.evaluation._bind_views_eagerly`).
     """
     view = space if bound else machine_view(space, shard)
     try:
@@ -129,9 +128,12 @@ def mr_hochbaum_shmoys(
     cluster = SimulatedCluster(m, capacity, executor=executor, dist_counter=space.counter)
     seeds = SeedStream(seed)
     wall = Timer()
+    eval_timer = Timer()
+    radius = 0.0
 
     # Same zero-copy scope as MRG: in-memory coordinates published once
-    # per job for process-pool rounds (repro.store.shm).
+    # per job for process-pool rounds (repro.store.shm), kept through
+    # the final evaluation.
     with wall, shared_space(space, cluster.executor) as task_space:
         n_machines = min(m, n)
         try:
@@ -164,11 +166,9 @@ def mr_hochbaum_shmoys(
             "mrhs.final", [bind(union)], task_sizes=[len(union)]
         )
 
-    eval_timer = Timer()
-    radius = 0.0
-    if evaluate:
-        with eval_timer:
-            radius = covering_radius(space, centers)
+        if evaluate:
+            with wall.paused(), eval_timer:
+                radius = final_radius(cluster, task_space, centers)
 
     return KCenterResult(
         algorithm="MRHS",

@@ -20,7 +20,8 @@ machine).
 Timing follows the paper's methodology: each reducer's GON is individually
 wall-clocked, the round's simulated parallel time is the slowest reducer,
 and the final objective evaluation over all of V is *not* charged to the
-algorithm (reported separately as ``eval_time``).
+algorithm (reported separately as ``eval_time``; it runs on the job's
+executor through :func:`repro.core.evaluation.final_radius`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.assignment import covering_radius
+from repro.core.evaluation import _bind_views_eagerly, final_radius
 from repro.core.gonzalez import gonzalez_trace
 from repro.core.result import KCenterResult
 from repro.errors import CapacityError, InvalidParameterError
@@ -40,32 +41,13 @@ from repro.mapreduce.executor import Executor
 from repro.mapreduce.model import default_capacity, mrg_approximation_factor, validate_cluster
 from repro.mapreduce.partition import PARTITIONERS, block_partition
 from repro.metric.base import MetricSpace
+from repro.obs import trace as _trace
 from repro.store.shm import shared_space
-from repro.store.space import ChunkedMetricSpace, machine_view
+from repro.store.space import machine_view
 from repro.utils.rng import SeedLike, spawn_seeds
 from repro.utils.timing import Timer
 
 __all__ = ["mrg"]
-
-
-def _bind_views_eagerly(space: MetricSpace, executor: Executor) -> bool:
-    """Whether reducer tasks should carry a prebuilt machine view.
-
-    Only worth it for in-memory spaces crossing a process boundary
-    *without* a zero-copy route: pickling the prebuilt view ships just
-    the shard's rows, where the parent space would ship the whole
-    dataset to every worker.  Chunked spaces always bind lazily — they
-    pickle by re-opening their backing (no data crosses) — and so do
-    spaces published to shared memory (``space._shared`` set inside a
-    :func:`repro.store.shm.shared_space` scope): they pickle as a
-    ~100-byte handle, and the worker builds the view against the
-    attached block, keeping even the shard-row copies off the driver.
-    """
-    return (
-        getattr(executor, "crosses_process_boundary", False)
-        and not isinstance(space, ChunkedMetricSpace)
-        and getattr(space, "_shared", None) is None
-    )
 
 
 def _gon_shard_task(
@@ -170,11 +152,14 @@ def mrg(
 
     cluster = SimulatedCluster(m, c, executor=executor, dist_counter=space.counter)
     wall = Timer()
+    eval_timer = Timer()
+    radius = float("nan")
 
     # Publish the in-memory coordinate block once per job when the rounds
     # run in a process pool: reducer tasks then pickle a shared-memory
     # handle instead of their shard's rows (repro.store.shm).  The segment
-    # lives exactly as long as the job, error paths included.
+    # lives exactly as long as the job — its final evaluation included —
+    # error paths included.
     with wall, shared_space(space, cluster.executor) as task_space:
         current = np.arange(n, dtype=np.intp)
         reduction_rounds = 0
@@ -208,7 +193,8 @@ def mrg(
                     "shrink (the paper's convergence condition 2k < c fails)"
                 )
             part_seed, *machine_seeds = spawn_seeds(seed, n_machines + 1)
-            shards = _partition_indices(part_fn, current, n_machines, part_seed)
+            with _trace.span("partition", cat="driver", machines=n_machines):
+                shards = _partition_indices(part_fn, current, n_machines, part_seed)
             shard_history.append([len(s) for s in shards])
 
             eager = _bind_views_eagerly(task_space, cluster.executor)
@@ -255,11 +241,11 @@ def mrg(
             task_sizes=[len(current)],
         )
 
-    eval_timer = Timer()
-    radius = float("nan")
-    if evaluate:
-        with eval_timer:
-            radius = covering_radius(space, centers)
+        # The objective over all of V, on the job's executor but outside
+        # `wall`: the paper does not charge it to the algorithm.
+        if evaluate:
+            with wall.paused(), eval_timer:
+                radius = final_radius(cluster, task_space, centers)
 
     total_rounds = reduction_rounds + 1
     # With zero reduction rounds (the whole input fit on one machine) the

@@ -56,7 +56,18 @@ class RoundStats:
 
     @property
     def parallel_time(self) -> float:
-        """Simulated parallel time: the slowest reducer's wall-clock."""
+        """**Simulated** makespan, not real wall time: the slowest reducer's
+        wall-clock.
+
+        This is the paper's Section 7.1 methodology — each reducer is
+        timed alone and the round is charged its slowest task, as if all
+        ``m`` machines ran at once.  It is *not* how long the round took
+        on this host: with fewer workers than tasks, dispatch overhead
+        and queueing make the real round wall many times larger (for mrg
+        at n=120k this reads ~5 ms where the round takes ~45 ms).  Real
+        wall time is ``KCenterResult.wall_time`` and the trace's
+        round-span durations.
+        """
         return max(self.task_times) if self.task_times else 0.0
 
     @property
@@ -119,7 +130,9 @@ class JobStats:
 
     @property
     def parallel_time(self) -> float:
-        """Simulated parallel job time: sum over rounds of the slowest task."""
+        """Simulated parallel job time — the sum over rounds of each round's
+        simulated makespan (:attr:`RoundStats.parallel_time`), not real
+        wall time."""
         return float(sum(r.parallel_time for r in self.rounds))
 
     @property

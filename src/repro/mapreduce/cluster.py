@@ -22,8 +22,9 @@ cluster
 
 The task contract itself — what a round task may be, how it is traced
 and how its accounting commits — lives in
-:mod:`repro.mapreduce.tasks`; ``run_round`` is one of its call sites
-(the facade's batch and solo dispatches are the others).
+:mod:`repro.mapreduce.tasks`; :meth:`SimulatedCluster.dispatch` (behind
+``run_round`` and the final objective evaluation) is one of its call
+sites (the facade's batch and solo dispatches are the others).
 """
 
 from __future__ import annotations
@@ -140,11 +141,52 @@ class SimulatedCluster:
         for size in task_sizes:
             self.check_fits(int(size), what=f"round {label!r} task input")
 
+        evals_before = self.dist_counter.evals if self.dist_counter else 0
+        results, times, fault_stats = self.dispatch(label, tasks)
+        evals_after = self.dist_counter.evals if self.dist_counter else 0
+
+        round_stats = RoundStats(
+            label=label,
+            task_times=list(times),
+            task_sizes=[int(s) for s in task_sizes],
+            shuffle_elements=(
+                int(sum(task_sizes)) if shuffle_elements is None else int(shuffle_elements)
+            ),
+            dist_evals=evals_after - evals_before,
+        )
+        if fault_stats is not None:
+            round_stats.retries = fault_stats.retries
+            round_stats.speculative_wins = fault_stats.speculative_wins
+            round_stats.wasted_task_seconds = fault_stats.wasted_task_seconds
+        self.stats.add(round_stats)
+        if _metrics.REGISTRY.enabled:
+            # Bracketed suffixes ("mrg.round1[3]") are stripped so the
+            # label set stays bounded for scrapers.
+            series = label.partition("[")[0]
+            _M_ROUNDS.labels(round=series).inc()
+            _M_ROUND_PARALLEL.labels(round=series).observe(round_stats.parallel_time)
+            _M_ROUND_TASKS.labels(round=series).observe(len(tasks))
+        return results
+
+    def dispatch(self, label: str, tasks: Sequence[TaskSpec]) -> tuple[list, list, object]:
+        """Run ``tasks`` on the executor without recording a round.
+
+        The dispatch half of :meth:`run_round`, shared with passes that
+        are not rounds of the algorithm (the final objective evaluation,
+        :func:`repro.core.evaluation.final_radius`): binds the task
+        contract, runs the calls under a round-category span named
+        ``label``, stamps ``label`` on a :class:`TaskFailedError`, and
+        commits :class:`TaskOutput` distance counts into the watched
+        counter.  Returns the unwrapped results, the per-task wall times
+        and the fault statistics a fault-tolerant executor
+        (``ResilientExecutor``) absorbed during the call — ``None`` for
+        plain executors; popped here so they never leak into the next
+        round.
+        """
         specs = list(tasks)
         calls, sink = bind_round(label, specs, executor=self.executor)
 
         tracer = _trace.current_tracer()
-        evals_before = self.dist_counter.evals if self.dist_counter else 0
         round_span = (
             tracer.span(label, cat="round", tasks=len(calls))
             if tracer is not None
@@ -160,36 +202,10 @@ class SimulatedCluster:
                 exc.label = label
             raise
         results = commit(results, specs, counter=self.dist_counter, sink=sink)
-        evals_after = self.dist_counter.evals if self.dist_counter else 0
-
-        round_stats = RoundStats(
-            label=label,
-            task_times=list(times),
-            task_sizes=[int(s) for s in task_sizes],
-            shuffle_elements=(
-                int(sum(task_sizes)) if shuffle_elements is None else int(shuffle_elements)
-            ),
-            dist_evals=evals_after - evals_before,
-        )
-        # A fault-tolerant executor (ResilientExecutor) reports what it
-        # absorbed this round; duck-typed so the cluster needs no import
-        # of (or hard dependency on) the resilience layer.
+        # Duck-typed so the cluster needs no import of (or hard
+        # dependency on) the resilience layer.
         pop_stats = getattr(self.executor, "pop_round_stats", None)
-        if pop_stats is not None:
-            fault_stats = pop_stats()
-            if fault_stats is not None:
-                round_stats.retries = fault_stats.retries
-                round_stats.speculative_wins = fault_stats.speculative_wins
-                round_stats.wasted_task_seconds = fault_stats.wasted_task_seconds
-        self.stats.add(round_stats)
-        if _metrics.REGISTRY.enabled:
-            # Bracketed suffixes ("mrg.round1[3]") are stripped so the
-            # label set stays bounded for scrapers.
-            series = label.partition("[")[0]
-            _M_ROUNDS.labels(round=series).inc()
-            _M_ROUND_PARALLEL.labels(round=series).observe(round_stats.parallel_time)
-            _M_ROUND_TASKS.labels(round=series).observe(len(calls))
-        return results
+        return results, times, pop_stats() if pop_stats is not None else None
 
     def reset_stats(self) -> None:
         """Discard accumulated job statistics (the machine pool is reusable)."""

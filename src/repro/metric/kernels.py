@@ -69,13 +69,15 @@ __all__ = [
 #: larger is a programming error — use the chunked kernels instead.
 MAX_DENSE_ELEMENTS = 128 * 2**20
 
-#: Cap on a single retained :class:`Workspace` buffer.  Matches the
-#: chunked kernels' temporary-block budget: every blocked path requests
-#: at most ~``DEFAULT_BLOCK_BYTES`` per role, so the cap never affects
-#: them; it only stops *unblocked* whole-array temporaries (a full-space
-#: ``dists_to_point`` on a huge in-memory set) from being pinned by the
-#: thread-local workspace after the call ends.
-MAX_RETAINED_BYTES = DEFAULT_BLOCK_BYTES
+#: Cap on a single retained :class:`Workspace` buffer.  Deliberately far
+#: above the chunked kernels' L2-sized tile budget
+#: (``DEFAULT_BLOCK_BYTES``): the blocked paths never reach it, and
+#: GON's whole-shard ``dists_to_point`` ``diff`` scratch (a 20k x 3
+#: shard is ~0.5 MiB) must stay recycled rather than be allocated
+#: fresh on every center.  It only stops *huge* unblocked temporaries
+#: (a full-space ``dists_to_point`` on a dataset-sized in-memory set)
+#: from being pinned by the thread-local workspace after the call ends.
+MAX_RETAINED_BYTES = 32 * 2**20
 
 #: Squared distances below this fraction of ``|x|^2 + |y|^2`` are
 #: cancellation-dominated in the GEMM expansion and are recomputed through
@@ -120,11 +122,11 @@ class Workspace:
     memory unless the caller passed the workspace in explicitly.
 
     Retention is bounded: requests above :data:`MAX_RETAINED_BYTES`
-    (the chunked kernels' block budget) are served as plain transient
-    allocations instead of growing the held buffer, so a workspace that
-    once saw a dataset-sized temporary (e.g. a whole-space
-    ``dists_to_point`` pass) does not pin it for the life of the
-    thread — held scratch stays O(block budget), never O(n·d).
+    (well above the chunked kernels' tile budget) are served as plain
+    transient allocations instead of growing the held buffer, so a
+    workspace that once saw a dataset-sized temporary (e.g. a
+    whole-space ``dists_to_point`` pass) does not pin it for the life
+    of the thread — held scratch stays O(retention cap), never O(n·d).
 
     One workspace must not be shared between threads; use
     :func:`workspace` for a per-thread instance.
@@ -342,11 +344,11 @@ def update_min_dists(
     ``current`` holds each point's distance to some existing reference set;
     this folds a batch of new reference points ``y`` into it.  It is the
     workhorse of EIM's Round 3 (removal) and of incremental assignment.
-    Work is blocked over both ``x`` and ``y`` so the temporary block stays
-    under ``block_bytes``; every block temporary (GEMM output, row minima)
-    is recycled through the calling thread's :class:`Workspace` — each is
-    folded into ``current`` before the next block is computed, so reuse
-    never changes a bit.
+    Work is blocked over the rows of ``x`` so each ``rows x len(y)``
+    tile stays under ``block_bytes`` (never fewer than 16 rows); every
+    block temporary (GEMM output, row minima) is recycled through the
+    calling thread's :class:`Workspace` — each is folded into ``current``
+    before the next block is computed, so reuse never changes a bit.
 
     Returns ``current`` (modified in place) for chaining.
     """

@@ -51,6 +51,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.obs import trace as _trace
+
 __all__ = ["SharedPoints", "publish_points", "shared_space", "transport_mode"]
 
 #: Environment switch: ``shm`` (default), ``spill`` (always use the
@@ -306,7 +308,8 @@ def shared_space(space, executor) -> Iterator:
         and _publishable(space)
         and getattr(space, "_shared", None) is None
     ):
-        handle = publish_points(space.points)
+        with _trace.span("publish", cat="driver", bytes=int(space.points.nbytes)):
+            handle = publish_points(space.points)
         if handle is not None:
             out = copy.copy(space)
             out._shared = handle

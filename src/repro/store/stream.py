@@ -46,13 +46,13 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
 ]
 
-#: Default byte budget for one stream chunk.  Deliberately much smaller
-#: than the kernels' temporary-block budget (``DEFAULT_BLOCK_BYTES``):
-#: a chunk is *resident coordinate data* (several live at once in the
-#: chunk LRU, plus copies at the read boundary), not a transient, so a
-#: 32 MiB chunk would make out-of-core peak memory approach the file
-#: size for medium inputs.  4 MiB keeps peak O(a few chunks) while
-#: still amortising read/generate overhead.
+#: Default byte budget for one stream chunk.  Independent of the
+#: kernels' L2-sized tile budget (``DEFAULT_BLOCK_BYTES``): a chunk is
+#: *resident coordinate data* (several live at once in the chunk LRU,
+#: plus copies at the read boundary) that the kernels then tile, so it
+#: is sized for read/generate amortisation, not for cache — while
+#: staying small enough that out-of-core peak memory is O(a few chunks),
+#: never close to the file size for medium inputs.
 DEFAULT_CHUNK_BYTES = 4 * 2**20
 
 #: What :func:`as_stream` accepts: an existing stream, a coordinate

@@ -18,10 +18,17 @@ __all__ = [
     "DEFAULT_BLOCK_BYTES",
 ]
 
-#: Default byte budget for one temporary distance block. 32 MiB keeps blocks
-#: comfortably inside last-level cache pressure limits on commodity CPUs
-#: while amortising BLAS call overhead; bench_kernels.py sweeps this choice.
-DEFAULT_BLOCK_BYTES = 32 * 2**20
+#: Default byte budget for one temporary distance block (a ``rows x refs``
+#: tile of the chunked kernels).  Each tile is touched by ~7 elementwise
+#: passes (GEMM output, scale, two norm adds, clip, cancellation check,
+#: row minimum), so it must stay resident in the per-core L2 cache: at
+#: 256 KiB every pass after the GEMM hits cache instead of streaming
+#: through DRAM, which roughly tripled the running-min kernel's
+#: throughput over a 32 MiB budget.  Row blocking never changes a
+#: result bit (see :mod:`repro.metric.kernels`), so this is purely a
+#: speed knob; ``benchmarks/bench_kernels.py`` sweeps it at the hot
+#: shapes.
+DEFAULT_BLOCK_BYTES = 256 * 2**10
 
 
 def chunk_bounds(total: int, chunk: int) -> Iterator[tuple[int, int]]:

@@ -9,7 +9,9 @@ so every measured number in the benchmarks flows through one code path.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 __all__ = ["Timer", "timed"]
 
@@ -57,6 +59,20 @@ class Timer:
         if self._started_at is not None:
             raise RuntimeError("cannot reset a running Timer")
         self.elapsed = 0.0
+
+    @contextmanager
+    def paused(self) -> Iterator["Timer"]:
+        """Leave the enclosed block out of a running Timer.
+
+        The clock stops on entry and restarts on exit, error paths
+        included — e.g. a solver's final objective evaluation nested
+        inside the job's ``wall`` scope without being charged to it.
+        """
+        self.stop()
+        try:
+            yield self
+        finally:
+            self.start()
 
     def __enter__(self) -> "Timer":
         return self.start()

@@ -17,6 +17,8 @@ from repro.mapreduce.executor import (
     SequentialExecutor,
     run_task,
 )
+from repro.mapreduce.faults import Fault, FaultSchedule
+from repro.mapreduce.resilient import FaultPolicy, ResilientExecutor
 from repro.mapreduce.tasks import TaskSpec
 from repro.metric.base import DistCounter
 
@@ -107,6 +109,20 @@ class TestSimulatedCluster:
         stats = cluster.stats.rounds[0]
         assert stats.parallel_time >= 0.02
         assert stats.parallel_time == max(stats.task_times)
+
+    def test_dispatch_records_no_round_and_consumes_fault_stats(self):
+        counter = DistCounter()
+        faults = FaultSchedule({(0, 0): Fault("crash")})
+        with ResilientExecutor(SequentialExecutor(), FaultPolicy(), faults) as executor:
+            cluster = SimulatedCluster(m=2, executor=executor, dist_counter=counter)
+            results, times, fault_stats = cluster.dispatch(
+                "eval", [_spec(_const, 3), _spec(_count, counter, 5)]
+            )
+            assert results == [3, None] and len(times) == 2
+            assert fault_stats.retries == 1
+            assert executor.pop_round_stats() is None
+        assert cluster.stats.n_rounds == 0
+        assert counter.evals == 5
 
     def test_reset_stats(self):
         cluster = SimulatedCluster(m=1)

@@ -205,7 +205,12 @@ class TestSolvePropagation:
         rounds = by_cat(tracer, "round")
         tasks = by_cat(tracer, "task")
         assert len(solves) == 1 and solves[0].name == "solve"
-        assert len(rounds) == len(traced.stats.rounds)
+        # One span per committed round, then the final evaluation pass —
+        # a round-category span that is deliberately not a round of the
+        # job's books.
+        assert [r.name for r in rounds] == [
+            r.label for r in traced.stats.rounds
+        ] + ["final.radius"]
         # Every dispatched task folded exactly one span back, labelled
         # by its round.
         per_round = {r.name: r.args["tasks"] for r in rounds}

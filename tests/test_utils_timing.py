@@ -56,6 +56,16 @@ class TestTimer:
         t.stop()
         assert not t.running
 
+    def test_paused_excludes_block_and_restarts_on_error(self):
+        t = Timer()
+        with t:
+            with pytest.raises(ValueError):
+                with t.paused():
+                    time.sleep(0.05)
+                    raise ValueError
+            assert t.running
+        assert t.elapsed < 0.05
+
 
 def test_timed_returns_result_and_seconds():
     result, seconds = timed(lambda a, b=1: a + b, 2, b=3)
