@@ -22,6 +22,10 @@ methodology exactly, plus the bookkeeping the paper's analysis needs:
 * :mod:`~repro.mapreduce.executor` — sequential (default, faithful to the
   paper), thread-pool (shared memory, BLAS-released kernels overlap) and
   process-pool (real multicore) task executors behind one protocol;
+* :mod:`~repro.mapreduce.dispatch` — the one loop every executor's
+  ``run`` goes through: chunked submission, per-task timing and the
+  :class:`~repro.mapreduce.dispatch.FaultPolicy` that decides what a
+  failed attempt costs;
 * :mod:`~repro.mapreduce.resilient` /
   :mod:`~repro.mapreduce.faults` — fault tolerance over that protocol:
   :class:`~repro.mapreduce.resilient.ResilientExecutor` enforces a
@@ -48,7 +52,6 @@ from repro.mapreduce.faults import (
     InjectedFault,
     RandomFaults,
 )
-from repro.mapreduce.job import MapReduceJob, MapReduceRound
 from repro.mapreduce.model import (
     machines_after_rounds,
     mrg_approximation_factor,
@@ -75,8 +78,6 @@ __all__ = [
     "RoundStats",
     "JobStats",
     "BatchSummary",
-    "MapReduceJob",
-    "MapReduceRound",
     "SequentialExecutor",
     "ThreadPoolExecutorBackend",
     "ProcessPoolExecutorBackend",

@@ -36,32 +36,36 @@ counter stay exact (``solve_many`` additionally gives each run a private
 counter so per-run records are scheduling-independent, not merely
 race-free).
 
-Lifecycle.  Both pool backends are **persistent** by default: the
-underlying ``concurrent.futures`` pool is created lazily on the first
-:meth:`run` (or eagerly via :meth:`open`) and *reused* by every
-subsequent ``run`` until :meth:`close` — so a multi-round MapReduce job
+Dispatch.  A backend is a ``submit`` plus, for the pools, a lifecycle:
+every backend's :meth:`run` is the one loop of
+:mod:`repro.mapreduce.dispatch` under the null policy (no retries, no
+deadline, no speculation — a failing task raises its own exception).
+The loop submits chunks of ``ceil(n / (4 * workers))`` tasks, so a
+round of many small reducer tasks costs a handful of round-trips;
+results still come back in task order, one wall-clock per task.
+
+Lifecycle.  Both pool backends are **persistent**: the underlying
+``concurrent.futures`` pool is created on the first submission (or
+eagerly via :meth:`open`) and *reused* by every later ``run`` until
+:meth:`close` — so a multi-round MapReduce job
 (:class:`~repro.mapreduce.cluster.SimulatedCluster` calls ``run`` once
 per round) and repeated ``solve_many`` batches pay the worker spawn cost
-once, not once per round.  The backends are context managers
-(``with ProcessPoolExecutorBackend(4) as ex: ...`` closes the pool on
-exit, error paths included), ``close`` is idempotent and a closed
-backend transparently re-opens on its next ``run``.  Pass
-``persistent=False`` to restore the old spawn-per-``run`` behaviour —
-the baseline the perf harness (``benchmarks/bench_perf.py``) measures
-the persistent engine against.
+once, not once per round.  Opening and closing are serialised by a lock,
+so threads submitting to a cold backend at once share one pool.  The
+backends are context managers (``with ProcessPoolExecutorBackend(4) as
+ex: ...`` closes the pool on exit, error paths included), ``close`` is
+idempotent and a closed backend transparently re-opens on its next
+submission.
 """
 
 from __future__ import annotations
 
-import math
-import os
+import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Protocol, Sequence
+
+from repro.mapreduce.dispatch import dispatch, submit_inline
 
 __all__ = [
     "Executor",
@@ -75,13 +79,14 @@ __all__ = [
 class Executor(Protocol):
     """Runs a batch of zero-argument tasks; returns (results, seconds) lists.
 
-    ``run`` is the whole required surface.  Backends that hold resources
-    (worker pools, connections) additionally expose the optional
-    lifecycle — ``open()``, ``close()``, context-manager enter/exit — and
-    backends whose tasks execute in another process advertise it with a
-    truthy ``crosses_process_boundary`` class attribute, which the
-    solvers use to decide when publishing a space to shared memory is
-    worth it (:mod:`repro.store.shm`).
+    ``run`` is the whole required surface.  The built-in backends also
+    expose ``submit(fn, *args) -> Future`` (the hook the dispatch loop and
+    :class:`~repro.mapreduce.resilient.ResilientExecutor` drive) and the
+    optional lifecycle — ``open()``, ``close()``, context-manager
+    enter/exit — and backends whose tasks execute in another process
+    advertise it with a truthy ``crosses_process_boundary`` class
+    attribute, which the solvers use to decide when publishing a space to
+    shared memory is worth it (:mod:`repro.store.shm`).
     """
 
     def run(
@@ -96,71 +101,74 @@ def run_task(task: Callable[[], Any]) -> tuple[Any, float]:
     return result, time.perf_counter() - t0
 
 
-class SequentialExecutor:
-    """Run tasks one by one on the calling thread (paper methodology).
-
-    Holds no resources; ``open``/``close``/context-manager are provided
-    as no-ops so callers can drive any backend through one lifecycle.
-    """
+class _Backend:
+    """What every built-in backend shares: ``run`` is the dispatch loop,
+    and the lifecycle defaults to no-ops."""
 
     crosses_process_boundary = False
 
     def run(
         self, tasks: Sequence[Callable[[], Any]]
     ) -> tuple[list[Any], list[float]]:
-        results: list[Any] = []
-        times: list[float] = []
-        for task in tasks:
-            result, seconds = run_task(task)
-            results.append(result)
-            times.append(seconds)
-        return results, times
+        return dispatch(self, tasks)
 
-    def open(self) -> "SequentialExecutor":
+    def open(self):
         return self
 
     def close(self) -> None:
         pass
 
-    def __enter__(self) -> "SequentialExecutor":
-        return self
+    def __enter__(self):
+        return self.open()
 
     def __exit__(self, *exc_info) -> None:
-        pass
+        self.close()
 
 
-class _PoolBackend:
+class SequentialExecutor(_Backend):
+    """Run tasks one by one on the calling thread (paper methodology).
+
+    Holds no resources; ``open``/``close``/context-manager are provided
+    as no-ops so callers can drive any backend through one lifecycle.
+    """
+
+    max_workers = 1
+
+    def submit(self, fn: Callable, *args: Any) -> Future:
+        """Run ``fn(*args)`` inline; return its already-completed future."""
+        return submit_inline(fn, *args)
+
+
+class _PoolBackend(_Backend):
     """Shared lifecycle of the thread- and process-pool backends.
 
     Subclasses set :attr:`_pool_factory` (a ``concurrent.futures``
-    executor class) and may override :meth:`_map` (the process backend
-    adds chunked submission).
+    executor class).
     """
 
     _pool_factory: type  # ThreadPoolExecutor | ProcessPoolExecutor
-    crosses_process_boundary = False
 
-    def __init__(self, max_workers: int | None = None, persistent: bool = True):
+    def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers
-        self.persistent = bool(persistent)
         self._pool = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def open(self):
-        """Spawn the worker pool now (idempotent).  Returns ``self``."""
-        if self._pool is None:
-            self._pool = self._make_pool()
+        """Create the worker pool now (idempotent).  Returns ``self``."""
+        self._live_pool()
         return self
 
     def close(self) -> None:
         """Shut the pool down and join its workers (idempotent).
 
-        The backend remains usable: the next :meth:`run` re-opens a
+        The backend remains usable: the next submission re-opens a
         fresh pool.
         """
-        pool, self._pool = self._pool, None
+        with self._lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -168,12 +176,6 @@ class _PoolBackend:
     def is_open(self) -> bool:
         """Whether a live worker pool is currently attached."""
         return self._pool is not None
-
-    def __enter__(self):
-        return self.open()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         pool = getattr(self, "_pool", None)
@@ -186,7 +188,12 @@ class _PoolBackend:
         # copy arrives closed and re-opens lazily on its side.
         state = self.__dict__.copy()
         state["_pool"] = None
+        del state["_lock"]
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # execution
@@ -194,46 +201,16 @@ class _PoolBackend:
     def _make_pool(self):
         return self._pool_factory(max_workers=self.max_workers)
 
-    def _map(self, pool, tasks: Sequence[Callable[[], Any]]) -> list:
-        return list(pool.map(run_task, tasks))
+    def _live_pool(self):
+        with self._lock:
+            if self._pool is None:
+                self._pool = self._make_pool()
+            return self._pool
 
-    def submit(self, task: Callable[[], Any]):
-        """Submit one task to the persistent pool, without waiting.
-
-        Returns a ``concurrent.futures.Future`` resolving to
-        ``(result, wall_seconds)`` — the same pair :func:`run_task`
-        produces under :meth:`run`.  This is the hook
-        :class:`~repro.mapreduce.resilient.ResilientExecutor` drives
-        per-task retries, timeouts and speculative copies through;
-        ``run`` remains the batch path.  Always uses the persistent pool
-        (opening it if needed) even for ``persistent=False`` backends:
-        individual futures have no natural point to tear a throwaway
-        pool down.
-        """
-        self.open()
-        return self._pool.submit(run_task, task)
-
-    def run(
-        self, tasks: Sequence[Callable[[], Any]]
-    ) -> tuple[list[Any], list[float]]:
-        if not tasks:
-            return [], []
-        if not self.persistent:
-            with self._make_pool() as pool:
-                out = self._map(pool, tasks)
-        else:
-            self.open()
-            try:
-                out = self._map(self._pool, tasks)
-            except BrokenExecutor:
-                # A broken pool (killed worker, failed spawn) poisons
-                # every later submission; drop it so the next run gets a
-                # fresh pool instead of inheriting the corpse.
-                self.close()
-                raise
-        results = [r for r, _ in out]
-        times = [t for _, t in out]
-        return results, times
+    def submit(self, fn: Callable, *args: Any) -> Future:
+        """Submit ``fn(*args)`` to the persistent pool (opening it if
+        needed), without waiting."""
+        return (self._pool or self._live_pool()).submit(fn, *args)
 
 
 class ThreadPoolExecutorBackend(_PoolBackend):
@@ -249,9 +226,6 @@ class ThreadPoolExecutorBackend(_PoolBackend):
     ----------
     max_workers:
         Worker thread count; ``None`` lets the pool pick its default.
-    persistent:
-        Keep the pool alive across :meth:`run` calls (default).  See the
-        module lifecycle notes.
     """
 
     _pool_factory = ThreadPoolExecutor
@@ -260,47 +234,14 @@ class ThreadPoolExecutorBackend(_PoolBackend):
 class ProcessPoolExecutorBackend(_PoolBackend):
     """Run tasks in a process pool (real parallelism; tasks must pickle).
 
-    Task batches are submitted in *chunks* (``Executor.map(chunksize=)``),
-    so a round of many small reducer tasks costs a handful of IPC
-    round-trips instead of one per task; results still come back in task
-    order, one wall-clock per task, measured inside the worker.
+    Each chunk the dispatch loop submits is one IPC round-trip; the
+    per-task wall-clocks are measured inside the worker.
 
     Parameters
     ----------
     max_workers:
         Worker process count; ``None`` lets the pool pick (CPU count).
-    persistent:
-        Keep the pool alive across :meth:`run` calls (default).  See the
-        module lifecycle notes.
-    chunksize:
-        Tasks per IPC submission.  ``None`` (default) picks
-        ``ceil(n_tasks / (4 * workers))`` — at most four waves per
-        worker, small enough to keep the pool load-balanced, large
-        enough to amortise the round-trip when hundreds of sub-second
-        tasks are queued.
     """
 
     _pool_factory = ProcessPoolExecutor
     crosses_process_boundary = True
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        persistent: bool = True,
-        chunksize: int | None = None,
-    ):
-        super().__init__(max_workers, persistent=persistent)
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.chunksize = chunksize
-
-    def _resolve_chunksize(self, n_tasks: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
-        workers = self.max_workers or os.cpu_count() or 1
-        return max(1, math.ceil(n_tasks / (4 * workers)))
-
-    def _map(self, pool, tasks: Sequence[Callable[[], Any]]) -> list:
-        return list(
-            pool.map(run_task, tasks, chunksize=self._resolve_chunksize(len(tasks)))
-        )

@@ -4,7 +4,8 @@ workspace kernels and the batch roll-up.
 Contracts under test (docs/architecture.md, "Execution engine"):
 
 * pool backends spawn their workers once and reuse them across ``run``
-  calls (worker-PID stability) unless ``persistent=False``;
+  calls (worker-PID stability), and threads submitting to a cold backend
+  at once share one pool;
 * the context manager closes the pool on *every* exit path, and a closed
   backend transparently re-opens;
 * per-task private counters (lock-free ``TaskCounter``) keep totals
@@ -15,6 +16,7 @@ Contracts under test (docs/architecture.md, "Execution engine"):
   buffers without changing a bit, even under concurrent thread tasks.
 """
 
+import multiprocessing
 import os
 import threading
 import time
@@ -30,6 +32,7 @@ from repro.mapreduce.executor import (
     SequentialExecutor,
     ThreadPoolExecutorBackend,
 )
+from repro.mapreduce.resilient import FaultPolicy, ResilientExecutor
 from repro.metric import kernels
 from repro.metric.base import DistCounter, TaskCounter
 from repro.metric.euclidean import EuclideanSpace
@@ -56,19 +59,42 @@ class TestPoolLifecycle:
         """The tentpole claim: one spawn per job, not per round.  Three
         rounds' worth of tasks on one backend must see at most
         ``max_workers`` distinct worker PIDs in total."""
-        with ProcessPoolExecutorBackend(max_workers=2, chunksize=1) as ex:
+        with ProcessPoolExecutorBackend(max_workers=2) as ex:
             pids = set()
             for _ in range(3):
                 results, _ = ex.run([partial(_sleep_pid, 0.02)] * 4)
                 pids.update(results)
         assert 1 <= len(pids) <= 2, pids
 
-    def test_nonpersistent_respawns_per_run(self):
-        ex = ProcessPoolExecutorBackend(max_workers=1, persistent=False)
-        (first,), _ = ex.run([os.getpid])
-        (second,), _ = ex.run([os.getpid])
-        assert first != second  # a fresh pool per run means fresh workers
-        assert not ex.is_open
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            SequentialExecutor,
+            lambda: ThreadPoolExecutorBackend(max_workers=2),
+            lambda: ProcessPoolExecutorBackend(max_workers=2),
+        ],
+        ids=["sequential", "thread", "process"],
+    )
+    def test_plain_backend_raises_the_task_error_unwrapped(self, factory):
+        """The null policy: no retry, no TaskFailedError wrapper, and the
+        pool stays warm for the next batch."""
+        tasks = [partial(int, "1"), partial(int, "x"), partial(int, "3")]
+        with factory() as ex:
+            with pytest.raises(ValueError, match="invalid literal") as excinfo:
+                ex.run(tasks)
+            assert type(excinfo.value) is ValueError
+            assert ex.run([partial(int, "4")])[0] == [4]
+
+    def test_plain_backend_does_not_retry(self):
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            raise RuntimeError("once is enough")
+
+        with pytest.raises(RuntimeError, match="once is enough"):
+            SequentialExecutor().run([flaky])
+        assert calls == [1]
 
     def test_thread_workers_stable_across_runs(self):
         with ThreadPoolExecutorBackend(max_workers=2) as ex:
@@ -119,28 +145,75 @@ class TestPoolLifecycle:
     def test_backend_pickles_without_its_pool(self):
         import pickle
 
-        ex = ProcessPoolExecutorBackend(max_workers=2, chunksize=3)
+        ex = ProcessPoolExecutorBackend(max_workers=2)
         ex.open()
         try:
             clone = pickle.loads(pickle.dumps(ex))
         finally:
             ex.close()
         assert not clone.is_open
-        assert clone.max_workers == 2 and clone.chunksize == 3
+        assert clone.max_workers == 2
+        (pid,), _ = clone.run([os.getpid])  # the copy re-opens on its side
+        clone.close()
+        assert pid != os.getpid()
 
-    def test_chunksize_heuristic_and_override(self):
-        ex = ProcessPoolExecutorBackend(max_workers=4)
-        assert ex._resolve_chunksize(3) == 1
-        assert ex._resolve_chunksize(160) == 10
-        assert ProcessPoolExecutorBackend(chunksize=7)._resolve_chunksize(1000) == 7
-        with pytest.raises(ValueError):
-            ProcessPoolExecutorBackend(chunksize=0)
+    def test_chunk_size_follows_workers_and_policy(self):
+        """ceil(n / (4 * workers)) tasks per submission; one per
+        submission once the policy sets a per-attempt deadline."""
+        sizes = []
+
+        class Recording(SequentialExecutor):
+            max_workers = 4
+
+            def submit(self, fn, *args):
+                sizes.append(len(args[0]))
+                return super().submit(fn, *args)
+
+        results, _ = Recording().run([partial(int, i) for i in range(160)])
+        assert results == list(range(160))
+        assert sizes == [10] * 16
+        sizes.clear()
+        wrapped = ResilientExecutor(Recording(), FaultPolicy(task_timeout=60.0))
+        results, _ = wrapped.run([partial(int, i) for i in range(3)])
+        assert results == [0, 1, 2]
+        assert sizes == [1, 1, 1]
 
     def test_chunked_submission_preserves_task_order(self):
-        with ProcessPoolExecutorBackend(max_workers=2, chunksize=5) as ex:
+        # 23 tasks on 2 workers travel as chunks of ceil(23 / 8) = 3.
+        with ProcessPoolExecutorBackend(max_workers=2) as ex:
             results, times = ex.run([partial(int, i) for i in range(23)])
         assert results == list(range(23))
         assert len(times) == 23 and all(t >= 0 for t in times)
+
+    def test_concurrent_submits_on_a_cold_backend_share_one_pool(self):
+        """Threads racing to submit to a fresh process backend must make
+        exactly one pool, and ``close`` must reap all its workers."""
+        pools = []
+
+        class CountingBackend(ProcessPoolExecutorBackend):
+            def _make_pool(self):
+                pools.append(1)
+                return super()._make_pool()
+
+        ex = CountingBackend(max_workers=2)
+        barrier = threading.Barrier(4)
+        futures = []
+
+        def race():
+            barrier.wait()
+            futures.append(ex.submit(os.getpid))
+
+        threads = [threading.Thread(target=race) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        try:
+            assert all(future.result(timeout=60) > 0 for future in futures)
+            assert len(pools) == 1
+        finally:
+            ex.close()
+        assert multiprocessing.active_children() == []
 
     def test_mrg_job_spawns_one_pool_across_rounds(self, space):
         """A multi-round MRG job must not respawn between rounds."""

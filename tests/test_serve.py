@@ -10,6 +10,7 @@ queueing unbounded, timeouts and disconnects cancel cleanly without
 poisoning the shared pool, and shutdown drains every admitted request.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -529,6 +530,34 @@ class TestLifecycle:
             assert resp["ok"], resp
             direct = repro.solve(rows, 4, "gon", seed=int(resp["id"][1:]))
             _assert_result_matches(resp["result"], direct)
+
+    def test_process_backend_answers_every_request(self, tiny_rows):
+        """Two clients, 200 small requests on the process backend: every
+        one is answered, and the pool's workers die with the server."""
+        children_before = set(multiprocessing.active_children())
+        config = ServeConfig(backend="process", pool_size=2)
+        per_client = 100
+        answers: dict[int, list] = {}
+        with ServerHandle(config) as h:
+
+            def run(worker: int) -> None:
+                with h.client() as client:
+                    answers[worker] = [
+                        client.solve("gon", 3, points=tiny_rows, seed=seed)
+                        for seed in range(per_client)
+                    ]
+
+            threads = [threading.Thread(target=run, args=(w,)) for w in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+            assert not any(t.is_alive() for t in threads), "a request hung"
+            with h.client() as client:
+                stats = client.stats()
+        assert stats["received"] == stats["answered"] == 2 * per_client
+        assert all(r["ok"] for replies in answers.values() for r in replies)
+        assert set(multiprocessing.active_children()) <= children_before
 
     def test_server_rejects_after_drain_starts(self, rows):
         # A request arriving into a draining scheduler gets shutting-down,
