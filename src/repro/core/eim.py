@@ -52,8 +52,9 @@ mutating driver state from inside a task.  A retried or speculatively
 duplicated task therefore reproduces its first execution bit for bit, the
 round's ``dist_evals`` stay exact under any absorbed fault, and the same
 task list runs unchanged on sequential, thread and process backends —
-in-memory coordinates cross the process boundary once per job through
-the shared-memory transport, exactly like MRG/MRHS.
+an in-memory space's array (coordinates or distance matrix) crosses the
+process boundary once per job through the shared-memory transport,
+exactly like MRG/MRHS.
 """
 
 from __future__ import annotations
@@ -309,10 +310,10 @@ def eim(
     iteration_sizes: list[dict[str, int]] = []
     seeds = SeedStream(seed)
 
-    # Same zero-copy scope as MRG/MRHS: in-memory coordinates published
-    # once per job for process-pool rounds (repro.store.shm); every task
-    # below binds ``task_space``, which pickles as a ~100-byte handle
-    # inside the scope and is the space itself otherwise.  The scope
+    # Same zero-copy scope as MRG/MRHS: the space's in-memory array
+    # published once per job for process-pool rounds (repro.store.shm);
+    # every task below binds ``task_space``, which pickles as a ~100-byte
+    # handle inside the scope and is the space itself otherwise.  The scope
     # spans the final evaluation too, so the job publishes exactly once.
     eval_timer = Timer()
     radius = 0.0

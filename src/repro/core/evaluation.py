@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.assignment import covering_radius
 from repro.errors import InvalidParameterError
 from repro.mapreduce.cluster import SimulatedCluster
-from repro.mapreduce.executor import Executor
 from repro.mapreduce.partition import block_partition
 from repro.mapreduce.tasks import TaskOutput, TaskSpec
 from repro.metric import kernels
@@ -57,26 +56,6 @@ LABEL = "final.radius"
 MIN_TASK_EVALS = 2**20
 
 
-def _bind_views_eagerly(space: MetricSpace, executor: Executor) -> bool:
-    """Whether tasks should carry a prebuilt machine view.
-
-    Only worth it for in-memory spaces crossing a process boundary
-    *without* a zero-copy route: pickling the prebuilt view ships just
-    the shard's rows, where the parent space would ship the whole
-    dataset to every worker.  Chunked spaces always bind lazily — they
-    pickle by re-opening their backing (no data crosses) — and so do
-    spaces published to shared memory (``space._shared`` set inside a
-    :func:`repro.store.shm.shared_space` scope): they pickle as a
-    ~100-byte handle, and the worker builds the view against the
-    attached block, keeping even the shard-row copies off the driver.
-    """
-    return (
-        getattr(executor, "crosses_process_boundary", False)
-        and not isinstance(space, ChunkedMetricSpace)
-        and getattr(space, "_shared", None) is None
-    )
-
-
 def _row_segments(view: MetricSpace) -> Iterator[np.ndarray]:
     """A machine view's coordinates, one resident segment at a time
     (stream chunks for an out-of-core view, the whole array otherwise)."""
@@ -87,25 +66,22 @@ def _row_segments(view: MetricSpace) -> Iterator[np.ndarray]:
         yield view.points
 
 
-def _radius_task(
-    space, block: np.ndarray, center_coords: np.ndarray, bound: bool = False
-) -> TaskOutput:
+def _radius_task(space, block: np.ndarray, center_coords: np.ndarray) -> TaskOutput:
     """Max over the rows of ``block`` of the distance to the nearest center.
 
     Runs the serial pass's kernel (:func:`repro.metric.kernels.min_dists`)
     on the block's machine view against the driver-gathered
-    ``center_coords`` (``bound=True``: ``space`` is that view, prebuilt),
-    and reports the ``len(block) * k`` evaluations for the driver to fold.
+    ``center_coords``, and reports the ``len(block) * k`` evaluations for
+    the driver to fold.
     """
-    view = space if bound else machine_view(space, block)
+    view = machine_view(space, block)
     radius = 0.0
     try:
         for x in _row_segments(view):
             dists = kernels.min_dists(x, center_coords, block_bytes=view.block_bytes)
             radius = max(radius, float(dists.max()))
     finally:
-        if hasattr(view, "release"):
-            view.release()
+        view.release()
     return TaskOutput(radius, len(block) * len(center_coords))
 
 
@@ -145,18 +121,8 @@ def final_radius(
         with _trace.span(LABEL, cat="round", tasks=0):
             return covering_radius(space, centers)
     center_coords = space.local(centers).points
-    eager = _bind_views_eagerly(space, cluster.executor)
     specs = [
-        TaskSpec(
-            _radius_task,
-            args=(
-                machine_view(space, block) if eager else space,
-                block,
-                center_coords,
-                eager,
-            ),
-            counting="output",
-        )
+        TaskSpec(_radius_task, args=(space, block, center_coords), counting="output")
         for block in parts
     ]
     maxima, _times, _fault_stats = cluster.dispatch(LABEL, specs)

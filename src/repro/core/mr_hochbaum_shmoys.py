@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from repro.core.evaluation import _bind_views_eagerly, final_radius
+from repro.core.evaluation import final_radius
 from repro.core.hochbaum_shmoys import MAX_POINTS, hochbaum_shmoys
 from repro.core.result import KCenterResult
 from repro.errors import CapacityError, InvalidParameterError
@@ -55,26 +55,22 @@ from repro.utils.timing import Timer
 __all__ = ["mr_hochbaum_shmoys"]
 
 
-def _hs_shard_task(
-    space: MetricSpace, shard: np.ndarray, k: int, bound: bool = False
-) -> TaskOutput:
+def _hs_shard_task(space: MetricSpace, shard: np.ndarray, k: int) -> TaskOutput:
     """One reducer: HS over a machine view of ``shard``; global center ids.
 
     Top-level (not a closure) and argument-picklable, so the same task
     list runs on sequential, thread and process executors.  The machine
     view carries a private counter — an out-of-core shard gathers only
     its own rows wherever the task runs — and the evaluation count rides
-    back in the :class:`TaskOutput` for exact round accounting.
-    ``bound=True`` means ``space`` is already this machine's view
-    (prebuilt at schedule time so a process-pool task ships only its
-    shard's rows; see :func:`repro.core.evaluation._bind_views_eagerly`).
+    back in the :class:`TaskOutput` for exact round accounting.  An
+    in-memory space arrives published (:func:`repro.store.shm.shared_space`),
+    so a process worker builds the view from the attached block.
     """
-    view = space if bound else machine_view(space, shard)
+    view = machine_view(space, shard)
     try:
         centers = shard[hochbaum_shmoys(view, k).centers]
     finally:
-        if hasattr(view, "release"):
-            view.release()
+        view.release()
     return TaskOutput(centers, view.counter.evals)
 
 
@@ -131,9 +127,9 @@ def mr_hochbaum_shmoys(
     eval_timer = Timer()
     radius = 0.0
 
-    # Same zero-copy scope as MRG: in-memory coordinates published once
-    # per job for process-pool rounds (repro.store.shm), kept through
-    # the final evaluation.
+    # Same zero-copy scope as MRG: the space's in-memory array published
+    # once per job for process-pool rounds (repro.store.shm), kept
+    # through the final evaluation.
     with wall, shared_space(space, cluster.executor) as task_space:
         n_machines = min(m, n)
         try:
@@ -142,15 +138,7 @@ def mr_hochbaum_shmoys(
             parts = part_fn(n, n_machines)
         shards = [np.asarray(p, dtype=np.intp) for p in parts if len(p)]
 
-        eager = _bind_views_eagerly(task_space, cluster.executor)
-
         def bind(shard: np.ndarray) -> TaskSpec:
-            if eager:
-                return TaskSpec(
-                    _hs_shard_task,
-                    args=(machine_view(task_space, shard), shard, k, True),
-                    counting="output",
-                )
             return TaskSpec(
                 _hs_shard_task, args=(task_space, shard, k), counting="output"
             )

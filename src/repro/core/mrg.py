@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.evaluation import _bind_views_eagerly, final_radius
+from repro.core.evaluation import final_radius
 from repro.core.gonzalez import gonzalez_trace
 from repro.core.result import KCenterResult
 from repro.errors import CapacityError, InvalidParameterError
@@ -51,7 +51,7 @@ __all__ = ["mrg"]
 
 
 def _gon_shard_task(
-    space: MetricSpace, shard: np.ndarray, k: int, bound: bool = False, *, seed=None
+    space: MetricSpace, shard: np.ndarray, k: int, *, seed=None
 ) -> TaskOutput:
     """One reducer: GON over a machine view of ``shard``; global center ids.
 
@@ -59,17 +59,16 @@ def _gon_shard_task(
     view's private counter rides back in the :class:`TaskOutput`.  A
     contiguous shard of an out-of-core space stays out-of-core — the
     round-1 partition of a sharded dataset never gathers ``(n, d)``
-    anywhere, driver or worker.  ``bound=True`` means ``space`` is
-    already this machine's view (see :func:`_bind_views_eagerly`);
-    ``seed`` is keyword-only so :class:`~repro.mapreduce.tasks.TaskSpec`
-    can bind it per task.
+    anywhere, driver or worker.  An in-memory space arrives published
+    (:func:`repro.store.shm.shared_space`), so a process worker builds
+    the view from the attached block.  ``seed`` is keyword-only so
+    :class:`~repro.mapreduce.tasks.TaskSpec` can bind it per task.
     """
-    view = space if bound else machine_view(space, shard)
+    view = machine_view(space, shard)
     try:
         trace = gonzalez_trace(view, k, seed=seed)
     finally:
-        if hasattr(view, "release"):
-            view.release()
+        view.release()
     return TaskOutput(shard[trace.centers], view.counter.evals)
 
 
@@ -155,11 +154,11 @@ def mrg(
     eval_timer = Timer()
     radius = float("nan")
 
-    # Publish the in-memory coordinate block once per job when the rounds
-    # run in a process pool: reducer tasks then pickle a shared-memory
-    # handle instead of their shard's rows (repro.store.shm).  The segment
-    # lives exactly as long as the job — its final evaluation included —
-    # error paths included.
+    # Publish the space's in-memory array once per job when the rounds run
+    # in a process pool: every task then pickles a shared-memory handle
+    # instead of the array, and workers build their shard's view from the
+    # attached block (repro.store.shm).  The segment lives exactly as long
+    # as the job — its final evaluation included — error paths included.
     with wall, shared_space(space, cluster.executor) as task_space:
         current = np.arange(n, dtype=np.intp)
         reduction_rounds = 0
@@ -197,16 +196,10 @@ def mrg(
                 shards = _partition_indices(part_fn, current, n_machines, part_seed)
             shard_history.append([len(s) for s in shards])
 
-            eager = _bind_views_eagerly(task_space, cluster.executor)
             tasks = [
                 TaskSpec(
                     _gon_shard_task,
-                    args=(
-                        machine_view(task_space, shard) if eager else task_space,
-                        shard,
-                        k,
-                        eager,
-                    ),
+                    args=(task_space, shard, k),
                     seed=machine_seeds[i],
                     counting="output",
                 )
@@ -221,19 +214,12 @@ def mrg(
 
         # Final round: GON on the surviving sample, on a single machine.
         final_seed = spawn_seeds(seed, 1)[0] if seed is not None else None
-
-        eager = _bind_views_eagerly(task_space, cluster.executor)
         (centers,) = cluster.run_round(
             "mrg.final",
             [
                 TaskSpec(
                     _gon_shard_task,
-                    args=(
-                        machine_view(task_space, current) if eager else task_space,
-                        current,
-                        k,
-                        eager,
-                    ),
+                    args=(task_space, current, k),
                     seed=final_seed,
                     counting="output",
                 )

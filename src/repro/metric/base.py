@@ -174,11 +174,36 @@ class MetricSpace(abc.ABC):
     meaning *all points* (an important fast path: no fancy-indexing copy).
     """
 
+    #: Name of the in-memory float64 array that defines this space, which
+    #: :func:`repro.store.shm.shared_space` publishes once per job so the
+    #: space crosses into process workers by reference.  ``None``: the
+    #: space has no such array (out-of-core spaces re-open their backing).
+    shared_array: str | None = None
+
+    #: Handle of the published array while inside a ``shared_space``
+    #: scope; pickling then ships the handle instead of the array.
+    _shared = None
+
     def __init__(self, n: int, counter: DistCounter | None = None):
         if n < 0:
             raise MetricError(f"space size must be >= 0, got {n}")
         self._n = int(n)
         self.counter = counter if counter is not None else DistCounter()
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        if self._shared is not None:
+            state[self.shared_array] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if self._shared is not None:
+            setattr(self, self.shared_array, self._shared.attach())
+
+    def release(self) -> None:
+        """Drop per-view caches once a task is done with this space
+        (nothing to drop for in-memory spaces)."""
 
     # ------------------------------------------------------------------ #
     # size / identity

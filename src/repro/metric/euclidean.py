@@ -44,6 +44,8 @@ class EuclideanSpace(MetricSpace):
         :mod:`repro.utils.chunking`).
     """
 
+    shared_array = "points"
+
     def __init__(
         self,
         points,
@@ -55,22 +57,17 @@ class EuclideanSpace(MetricSpace):
         self.points = pts
         self.block_bytes = int(block_bytes)
         self._sq = np.einsum("ij,ij->i", pts, pts)
-        # Zero-copy transport handle (repro.store.shm.shared_space): when
-        # set, pickling ships the handle and the far side re-attaches the
-        # published block instead of copying the rows.
-        self._shared = None
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        if state.get("_shared") is not None:
-            state["points"] = None
+        state = super().__getstate__()
+        if self._shared is not None:
             state["_sq"] = None
         return state
 
     def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self.points is None and self._shared is not None:
-            self.points, self._sq = self._shared.attach_with_sq()
+        super().__setstate__(state)
+        if self._shared is not None:
+            self._sq = self._shared.attach_with_sq()[1]
 
     @property
     def dim(self) -> int:

@@ -32,6 +32,8 @@ class MinkowskiSpace(MetricSpace):
     guarantee in the paper relies on.
     """
 
+    shared_array = "points"
+
     def __init__(
         self,
         points,
@@ -46,20 +48,6 @@ class MinkowskiSpace(MetricSpace):
         self.points = pts
         self.p = float(p)
         self.block_bytes = int(block_bytes)
-        # Zero-copy transport handle (repro.store.shm.shared_space); see
-        # EuclideanSpace — Minkowski has no cached norms to rebuild.
-        self._shared = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        if state.get("_shared") is not None:
-            state["points"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self.points is None and self._shared is not None:
-            self.points = self._shared.attach()
 
     @property
     def dim(self) -> int:

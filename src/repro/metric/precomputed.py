@@ -30,6 +30,8 @@ class PrecomputedSpace(MetricSpace):
         O(n^3) and left to :func:`repro.metric.validation.check_metric_axioms`.
     """
 
+    shared_array = "matrix"
+
     def __init__(self, dist_matrix, counter: DistCounter | None = None, validate: bool = True):
         d = np.ascontiguousarray(dist_matrix, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:

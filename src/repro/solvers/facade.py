@@ -16,9 +16,9 @@ plain ``dict`` plus a ``summary`` roll-up
 evaluations, cache hits/misses, parallel vs cpu time across the batch).
 Pool backends are persistent, so back-to-back batches on one executor
 reuse its workers; for process backends the input space's in-memory
-coordinates are additionally published once per batch to shared memory
-(:func:`repro.store.shm.shared_space`) and workers attach by name
-instead of unpickling the rows per task.
+array (coordinates or distance matrix) is additionally published once
+per batch to shared memory (:func:`repro.store.shm.shared_space`) and
+workers attach by name instead of unpickling the array per task.
 
 Both entry points accept more than a ready-made space: a coordinate
 array, a :class:`~repro.store.stream.PointStream`, a ``.npy`` file path,
@@ -542,7 +542,7 @@ def solve_many(
 
     # Publish the space once per batch when the fan-out crosses a process
     # boundary: every task then pickles a shared-memory handle instead of
-    # the coordinate rows (no-op for sequential/thread backends and
+    # the space's array (no-op for sequential/thread backends and
     # out-of-core spaces, which already cross by reference).
     with shared_space(space, backend) as task_space:
         specs = [

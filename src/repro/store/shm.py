@@ -1,17 +1,19 @@
 """Zero-copy transport of in-memory spaces into process-pool workers.
 
 The process backend pickles every task, and a task over an in-memory
-:class:`~repro.metric.euclidean.EuclideanSpace` used to drag the space's
-``(rows, d)`` coordinate bytes through the pipe — once per task, every
-round.  This module removes the copy: the driver **publishes** the
-coordinate block once per job into a named
-:mod:`multiprocessing.shared_memory` segment, and the space then pickles
-as a tiny :class:`SharedPoints` *handle*; workers attach to the segment
-by name and map the same physical pages read-only.  Out-of-core spaces
-never needed this — their streams already pickle by re-opening files
-(``MemmapStream.__reduce__``, shard directories) — so the transport
-composes with, rather than replaces, that path: each backing crosses the
-boundary by reference, never by value.
+space would otherwise drag the space's defining array (the ``(n, d)``
+coordinates of a :class:`~repro.metric.euclidean.EuclideanSpace`, the
+``(n, n)`` matrix of a :class:`~repro.metric.precomputed.PrecomputedSpace`)
+through the pipe — once per task, every round.  This module removes the
+copy: the driver **publishes** the array a space names in
+:attr:`~repro.metric.base.MetricSpace.shared_array` once per job into a
+named :mod:`multiprocessing.shared_memory` segment, and the space then
+pickles as a tiny :class:`SharedPoints` *handle*; workers attach to the
+segment by name and map the same physical pages read-only.  This is the
+only route an in-memory space takes into a process worker.  Out-of-core
+spaces never needed it — their streams already pickle by re-opening
+files (``MemmapStream.__reduce__``, shard directories) — so each backing
+crosses the boundary by reference, never by value.
 
 Mechanics and guarantees:
 
@@ -20,17 +22,15 @@ Mechanics and guarantees:
   process (a small LRU), so a 50-task round costs 50 handle pickles
   (~100 bytes each) and at most one attach + one squared-norm pass per
   worker — not 50 coordinate copies.
-* **Same bits.**  The segment holds the exact float64 bytes of
-  ``space.points``; workers recompute the cached squared norms with the
+* **Same bits.**  The segment holds the exact float64 bytes of the
+  published array; Euclidean workers recompute the cached squared norms with the
   same ``einsum`` the driver ran, so every kernel sees identical inputs
   and the executor-parity contract (bit-identical centers, radius,
   dist_evals) is untouched.
-* **Spill fallback.**  Hosts where POSIX shared memory is unavailable or
-  exhausted (tiny ``/dev/shm`` in containers) fall back to spilling the
-  block into a temporary ``.npy`` that workers memory-map — still one
-  copy on disk instead of one per task.  ``REPRO_SHM_TRANSPORT=spill``
-  forces the fallback; ``REPRO_SHM_TRANSPORT=off`` disables publishing
-  entirely (the solvers then revert to shipping prebuilt machine views).
+* **Spill fallback.**  When creating the segment fails (no POSIX shared
+  memory, or a ``/dev/shm`` too small for the block, as in many
+  containers) the block spills into a temporary ``.npy`` that workers
+  memory-map — still one copy on disk instead of one per task.
 * **Cleanup.**  The driver owns the segment: handles unpublish in the
   job's ``finally`` and an ``atexit`` sweep catches anything a crashed
   run left behind.  Attached workers keep their mapping valid after the
@@ -53,11 +53,7 @@ import numpy as np
 
 from repro.obs import trace as _trace
 
-__all__ = ["SharedPoints", "publish_points", "shared_space", "transport_mode"]
-
-#: Environment switch: ``shm`` (default), ``spill`` (always use the
-#: temp-file fallback) or ``off`` (never publish).
-_ENV = "REPRO_SHM_TRANSPORT"
+__all__ = ["SharedPoints", "publish_points", "shared_space"]
 
 #: Worker-side attachment cache size (segments, not bytes).  A worker in
 #: a long-lived persistent pool sees one segment per job; keeping a few
@@ -70,29 +66,6 @@ _attached: OrderedDict[str, dict] = OrderedDict()
 
 # token -> SharedMemory segment published (and so owned) by this process.
 _published: dict[str, object] = {}
-
-
-def transport_mode() -> str:
-    """The active transport mode: ``shm``, ``spill`` or ``off``.
-
-    Unrecognised ``REPRO_SHM_TRANSPORT`` values fall back to the default
-    with a warning — silently re-enabling the transport someone tried to
-    disable with a typo ("none", "disabled") would be worse than noise.
-    """
-    raw = os.environ.get(_ENV)
-    if raw is None:
-        return "shm"
-    mode = raw.strip().lower()
-    if mode not in ("shm", "spill", "off"):
-        import warnings
-
-        warnings.warn(
-            f"{_ENV}={raw!r} is not one of shm/spill/off; using 'shm'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "shm"
-    return mode
 
 
 def _attach_segment(token: str):
@@ -215,27 +188,21 @@ class SharedPoints:
         _attached.pop(self.token, None)
 
 
-def publish_points(points: np.ndarray) -> SharedPoints | None:
-    """Publish a coordinate block for zero-copy worker attachment.
+def publish_points(points: np.ndarray) -> SharedPoints:
+    """Publish a 2-D float64 block for zero-copy worker attachment.
 
-    Copies ``points`` once into a fresh named segment (or, on failure or
-    under ``REPRO_SHM_TRANSPORT=spill``, into a temporary ``.npy``) and
-    returns the handle — or ``None`` when the transport is disabled.
+    Copies ``points`` once into a fresh named segment (or, when creating
+    the segment fails, into a temporary ``.npy``) and returns the handle.
     The caller owns the handle and must :meth:`~SharedPoints.unpublish`
     it (use :func:`shared_space` for scoped ownership).
     """
-    mode = transport_mode()
-    if mode == "off":
-        return None
     arr = np.ascontiguousarray(points, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"points must be 2-D, got shape {arr.shape}")
-    if mode == "shm":
-        try:
-            return _publish_shm(arr)
-        except (OSError, ValueError):  # no /dev/shm, or segment too large
-            pass
-    return _publish_spill(arr)
+    try:
+        return _publish_shm(arr)
+    except (OSError, ValueError):  # no /dev/shm, or segment too large
+        return _publish_spill(arr)
 
 
 def _publish_shm(arr: np.ndarray) -> SharedPoints:
@@ -280,24 +247,16 @@ def _cleanup_published() -> None:  # pragma: no cover - interpreter teardown
         _published.pop(token, None)
 
 
-def _publishable(space) -> bool:
-    """Whether ``space`` carries an in-memory block we know how to ship."""
-    from repro.metric.euclidean import EuclideanSpace
-    from repro.metric.minkowski import MinkowskiSpace
-
-    return isinstance(space, (EuclideanSpace, MinkowskiSpace))
-
-
 @contextmanager
 def shared_space(space, executor) -> Iterator:
     """Scope in which ``space`` crosses process boundaries by reference.
 
     When ``executor`` advertises ``crosses_process_boundary`` and
-    ``space`` is a publishable in-memory space, yields a shallow clone
-    whose pickling ships a :class:`SharedPoints` handle instead of the
-    coordinate rows; otherwise yields ``space`` unchanged (sequential and
-    thread backends share memory natively, out-of-core spaces re-open
-    their backing).  The published segment lives exactly as long as the
+    ``space`` names a :attr:`~repro.metric.base.MetricSpace.shared_array`,
+    publishes that array and yields a shallow clone whose pickling ships
+    a :class:`SharedPoints` handle instead of the array; otherwise yields
+    ``space`` unchanged (sequential and thread backends share memory
+    natively, out-of-core spaces re-open their backing).  The published segment lives exactly as long as the
     ``with`` block — error paths included — which is the solver-job /
     batch lifetime.
     """
@@ -305,14 +264,14 @@ def shared_space(space, executor) -> Iterator:
     out = space
     if (
         getattr(executor, "crosses_process_boundary", False)
-        and _publishable(space)
-        and getattr(space, "_shared", None) is None
+        and space.shared_array is not None
+        and space._shared is None
     ):
-        with _trace.span("publish", cat="driver", bytes=int(space.points.nbytes)):
-            handle = publish_points(space.points)
-        if handle is not None:
-            out = copy.copy(space)
-            out._shared = handle
+        array = getattr(space, space.shared_array)
+        with _trace.span("publish", cat="driver", bytes=int(array.nbytes)):
+            handle = publish_points(array)
+        out = copy.copy(space)
+        out._shared = handle
     try:
         yield out
     finally:

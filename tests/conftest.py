@@ -1,12 +1,51 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the session's leak gate."""
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.metric.euclidean import EuclideanSpace
 from repro.metric.precomputed import PrecomputedSpace
+
+
+_SHM_DIR = Path("/dev/shm")
+
+#: Entries present when the session started, and those it left behind.
+_at_start: set[Path] | None = None
+_leaked: list[str] = []
+
+
+def _shm_entries() -> set[Path]:
+    """Shared-memory entries and shm-transport spill files present now."""
+    found = set(Path(tempfile.gettempdir()).glob("repro-shm-spill-*.npy"))
+    if _SHM_DIR.is_dir():
+        found.update(_SHM_DIR.iterdir())
+    return found
+
+
+def pytest_sessionstart(session):
+    global _at_start
+    _at_start = _shm_entries()
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the session if a segment or spill file it created outlives it."""
+    if _at_start is None:
+        return
+    _leaked[:] = sorted(str(p) for p in _shm_entries() - _at_start)
+    if _leaked and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _leaked:
+        terminalreporter.write_sep("=", "shared-memory leak", red=True)
+        for path in _leaked:
+            terminalreporter.write_line(f"left behind by this session: {path}")
 
 
 @pytest.fixture

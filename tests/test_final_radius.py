@@ -156,16 +156,6 @@ def test_eim_publishes_once(points, executors, monkeypatch):
 
 
 @pytest.mark.parametrize("algo", ["mrg", "mr_hs"])
-def test_prebuilt_views_without_shm(algo, points, executors, monkeypatch):
-    """With the shm transport off, tasks ship prebuilt machine views of
-    their block — same bits."""
-    monkeypatch.setenv("REPRO_SHM_TRANSPORT", "off")
-    monkeypatch.setattr(evaluation, "MIN_TASK_EVALS", 1)  # evaluate on the pool
-    result, _ = _solve(repro.EuclideanSpace(points), algo, executors["process"])
-    assert result.radius == _serial(points, result.centers)
-
-
-@pytest.mark.parametrize("algo", ["mrg", "mr_hs"])
 def test_evaluation_ignores_the_job_partition(algo, points, monkeypatch):
     """A partitioner that drops a row still gets every point measured
     exactly once: the evaluation splits ``range(n)`` itself."""

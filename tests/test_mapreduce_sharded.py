@@ -241,10 +241,12 @@ class TestShardAlignedPartition:
         assert result.extra["reduction_rounds"] > 1
 
 
-class TestEagerViewBinding:
-    def test_process_pool_over_in_memory_space_ships_only_shards(self, points):
-        # Bit-identity of the eager path (prebuilt views under a process
-        # pool) against the default lazy sequential path.
+class TestPublishedSpace:
+    def test_process_pool_run_matches_sequential(self, points):
+        # Bit-identity of the published-handle path (the space crosses
+        # into the process pool as a shared-memory handle and each worker
+        # builds its shard's view from the attached block) against the
+        # sequential path.
         base = mr_hochbaum_shmoys(EuclideanSpace(points), K, m=M, seed=0)
         got = mr_hochbaum_shmoys(
             EuclideanSpace(points), K, m=M, seed=0,

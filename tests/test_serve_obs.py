@@ -154,6 +154,7 @@ class TestHttpScrape:
                 urllib.request.urlopen(
                     f"http://{host}:{port}/nope", timeout=5
                 )
+            err.value.close()  # the error holds the response socket
             assert err.value.code == 404
 
     def test_no_listener_without_metrics_port(self):

@@ -3,7 +3,10 @@
 The contract: inside a :func:`~repro.store.shm.shared_space` scope an
 in-memory space pickles as a ~100-byte handle, workers attach the
 published block by name and see the *exact* float64 bytes, the segment
-dies with the scope — and none of it changes a single output bit.
+dies with the scope — and none of it changes a single output bit.  This
+is the only route an in-memory space (coordinates or a distance matrix)
+takes into a process worker; the spill file is its fallback when the
+segment cannot be created.
 """
 
 import os
@@ -14,7 +17,8 @@ import pytest
 
 import repro
 from repro.core.mr_hochbaum_shmoys import mr_hochbaum_shmoys
-from repro.core.mrg import _bind_views_eagerly, mrg
+from repro.core.eim import eim
+from repro.core.mrg import mrg
 from repro.mapreduce.executor import (
     ProcessPoolExecutorBackend,
     SequentialExecutor,
@@ -22,7 +26,9 @@ from repro.mapreduce.executor import (
 )
 from repro.metric.euclidean import EuclideanSpace
 from repro.metric.minkowski import MinkowskiSpace
-from repro.store.shm import SharedPoints, publish_points, shared_space, transport_mode
+from repro.metric.precomputed import PrecomputedSpace
+from repro.store import shm
+from repro.store.shm import SharedPoints, publish_points, shared_space
 
 
 @pytest.fixture
@@ -32,6 +38,16 @@ def points():
 
 def _attach_shape(handle: SharedPoints):
     return handle.attach().shape
+
+
+def _no_segments(*_args, **_kwargs):
+    raise OSError("no shared memory on this host")
+
+
+@pytest.fixture
+def force_spill(monkeypatch):
+    """Make creating a segment fail, as on a host without /dev/shm."""
+    monkeypatch.setattr(shm, "_publish_shm", _no_segments)
 
 
 class TestPublishAttach:
@@ -66,9 +82,7 @@ class TestPublishAttach:
         with pytest.raises((FileNotFoundError, OSError)):
             fresh.attach()
 
-    def test_spill_fallback_roundtrip_and_cleanup(self, points, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_TRANSPORT", "spill")
-        assert transport_mode() == "spill"
+    def test_spill_fallback_roundtrip_and_cleanup(self, points, force_spill):
         handle = publish_points(points)
         assert handle.kind == "spill"
         path = handle.token
@@ -78,15 +92,6 @@ class TestPublishAttach:
         finally:
             handle.unpublish()
         assert not os.path.exists(path)
-
-    def test_transport_off_publishes_nothing(self, points, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_TRANSPORT", "off")
-        assert publish_points(points) is None
-
-    def test_unknown_transport_mode_warns_and_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_TRANSPORT", "disabled")  # typo for off
-        with pytest.warns(RuntimeWarning, match="shm/spill/off"):
-            assert transport_mode() == "shm"
 
     def test_worker_attachment_is_cached_per_process(self, points):
         handle = publish_points(points)
@@ -118,9 +123,6 @@ class TestSharedSpaceScope:
             revived = pickle.loads(blob)
             assert np.array_equal(revived.points, points)
             assert np.array_equal(revived._sq, space._sq)
-            # eager view prebuilding is then pointless and skipped
-            assert not _bind_views_eagerly(out, executor)
-            assert _bind_views_eagerly(space, executor)
         assert space._shared is None  # original untouched
 
     def test_scope_cleans_up_on_error(self, points):
@@ -144,14 +146,6 @@ class TestSharedSpaceScope:
             ref = space.cross(np.arange(10), np.arange(10, 20))
             assert np.array_equal(revived.cross(np.arange(10), np.arange(10, 20)), ref)
 
-    def test_off_mode_reverts_to_eager_views(self, points, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_TRANSPORT", "off")
-        space = EuclideanSpace(points)
-        executor = ProcessPoolExecutorBackend(max_workers=1)
-        with shared_space(space, executor) as out:
-            assert out is space
-            assert _bind_views_eagerly(out, executor)
-
 
 class TestEndToEndParity:
     """The acceptance claim: every transport path reproduces the
@@ -172,7 +166,8 @@ class TestEndToEndParity:
     def test_process_pool_solvers_bit_identical(
         self, big, reference, mode, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_SHM_TRANSPORT", mode)
+        if mode == "spill":
+            monkeypatch.setattr(shm, "_publish_shm", _no_segments)
         with ProcessPoolExecutorBackend(max_workers=2) as ex:
             got = {
                 "mrg": mrg(EuclideanSpace(big), 8, m=6, seed=3, executor=ex),
@@ -195,3 +190,66 @@ class TestEndToEndParity:
             assert (got[key].centers == ref[key].centers).all(), key
             assert got[key].radius == ref[key].radius, key
         assert got.summary.dist_evals == ref.summary.dist_evals
+
+
+def _matrix(points: np.ndarray) -> np.ndarray:
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1))
+
+
+class TestPrecomputedOverProcessPool:
+    """A distance-matrix space takes the same published route as a
+    coordinate space: every solver reproduces its sequential bits on a
+    process pool, and the job's space crosses as a handle."""
+
+    K, M = 5, 6
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        return _matrix(np.random.default_rng(29).normal(size=(1200, 3)))
+
+    SOLVERS = {
+        "mrg": lambda space, **kw: mrg(space, 5, m=6, seed=2, **kw),
+        "mr_hs": lambda space, **kw: mr_hochbaum_shmoys(space, 5, m=6, seed=2, **kw),
+        # small threshold_coeff: the sampling loop runs instead of
+        # falling straight back to GON
+        "eim": lambda space, **kw: eim(
+            space, 5, m=6, seed=2, eps=0.3, threshold_coeff=0.05, **kw
+        ),
+    }
+
+    @pytest.mark.parametrize("algo", sorted(SOLVERS))
+    def test_solver_bit_identical_to_sequential(self, matrix, algo):
+        solve = self.SOLVERS[algo]
+        ref = solve(PrecomputedSpace(matrix))
+        with ProcessPoolExecutorBackend(max_workers=2) as ex:
+            got = solve(PrecomputedSpace(matrix), executor=ex)
+        if algo == "eim":
+            assert ref.extra["iterations"] > 0
+        assert np.array_equal(got.centers, ref.centers)
+        assert got.radius == ref.radius
+        assert got.stats.dist_evals == ref.stats.dist_evals
+
+    def test_solve_many_bit_identical_to_sequential(self, matrix):
+        grid = dict(algorithms=("gon", "mrg", "eim"), seeds=(0, 1), m=self.M)
+        ref = repro.solve_many(PrecomputedSpace(matrix), self.K, **grid)
+        with ProcessPoolExecutorBackend(max_workers=2) as ex:
+            got = repro.solve_many(PrecomputedSpace(matrix), self.K, executor=ex, **grid)
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert np.array_equal(got[key].centers, ref[key].centers), key
+            assert got[key].radius == ref[key].radius, key
+            if ref[key].stats is not None:  # sequential GON keeps no job stats
+                assert got[key].stats.dist_evals == ref[key].stats.dist_evals, key
+        assert got.summary.dist_evals == ref.summary.dist_evals
+
+    def test_published_clone_pickles_under_a_kib(self, matrix):
+        space = PrecomputedSpace(matrix)
+        with shared_space(space, ProcessPoolExecutorBackend(max_workers=1)) as out:
+            blob = pickle.dumps(out)
+            assert len(blob) < 1024
+            revived = pickle.loads(blob)
+            assert np.array_equal(revived.matrix, matrix)
+            assert not revived.matrix.flags.writeable
+        assert space._shared is None
+        assert len(pickle.dumps(space)) > matrix.nbytes
