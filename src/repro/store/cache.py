@@ -177,6 +177,8 @@ class DistanceCache:
         shadow = copy.copy(space)
         shadow.counter = DistCounter()
         matrix = shadow.cross(None, None)
+        if not matrix.flags.writeable:  # a published block, attached read-only
+            matrix = matrix.copy()
         np.fill_diagonal(matrix, 0.0)
         return matrix
 

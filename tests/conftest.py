@@ -20,10 +20,15 @@ _leaked: list[str] = []
 
 
 def _shm_entries() -> set[Path]:
-    """Shared-memory entries and shm-transport spill files present now."""
+    """Shared-memory segments and shm-transport spill files present now.
+
+    Only ``psm_*`` entries count: that is the name Python's
+    ``SharedMemory`` gives the unnamed segments the transport creates,
+    so other programs' segments do not read as this suite's leaks.
+    """
     found = set(Path(tempfile.gettempdir()).glob("repro-shm-spill-*.npy"))
     if _SHM_DIR.is_dir():
-        found.update(_SHM_DIR.iterdir())
+        found.update(_SHM_DIR.glob("psm_*"))
     return found
 
 

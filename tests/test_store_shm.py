@@ -28,6 +28,7 @@ from repro.metric.euclidean import EuclideanSpace
 from repro.metric.minkowski import MinkowskiSpace
 from repro.metric.precomputed import PrecomputedSpace
 from repro.store import shm
+from repro.store.cache import DistanceCache
 from repro.store.shm import SharedPoints, publish_points, shared_space
 
 
@@ -230,11 +231,17 @@ class TestPrecomputedOverProcessPool:
         assert got.radius == ref.radius
         assert got.stats.dist_evals == ref.stats.dist_evals
 
-    def test_solve_many_bit_identical_to_sequential(self, matrix):
+    # With a cache, each worker builds its matrix from the published
+    # (read-only) block, so the build must not write into that block.
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_solve_many_bit_identical_to_sequential(self, matrix, cached):
         grid = dict(algorithms=("gon", "mrg", "eim"), seeds=(0, 1), m=self.M)
-        ref = repro.solve_many(PrecomputedSpace(matrix), self.K, **grid)
+        cache = (lambda: DistanceCache()) if cached else (lambda: None)
+        ref = repro.solve_many(PrecomputedSpace(matrix), self.K, cache=cache(), **grid)
         with ProcessPoolExecutorBackend(max_workers=2) as ex:
-            got = repro.solve_many(PrecomputedSpace(matrix), self.K, executor=ex, **grid)
+            got = repro.solve_many(
+                PrecomputedSpace(matrix), self.K, executor=ex, cache=cache(), **grid
+            )
         assert got.keys() == ref.keys()
         for key in ref:
             assert np.array_equal(got[key].centers, ref[key].centers), key
