@@ -177,7 +177,11 @@ class DistanceCache:
         shadow = copy.copy(space)
         shadow.counter = DistCounter()
         matrix = shadow.cross(None, None)
-        if not matrix.flags.writeable:  # a published block, attached read-only
+        if shadow.shared_array is not None and np.may_share_memory(
+            matrix, getattr(shadow, shadow.shared_array)
+        ):
+            # A precomputed space hands back its own matrix: the caller's
+            # array, or a read-only published block.  Write into neither.
             matrix = matrix.copy()
         np.fill_diagonal(matrix, 0.0)
         return matrix

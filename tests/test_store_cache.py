@@ -76,6 +76,16 @@ class TestCacheMechanics:
         cache.matrix_for(space)
         assert space.counter.evals == 0
 
+    def test_precomputed_input_is_neither_written_nor_aliased(self):
+        pts = np.random.default_rng(3).normal(size=(40, 2))
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+        np.fill_diagonal(d, 1e-13)  # within the validator's tolerance
+        before = d.copy()
+        matrix = DistanceCache(max_points=64).matrix_for(PrecomputedSpace(d))
+        assert np.array_equal(d, before)
+        assert not np.shares_memory(matrix, d)
+        assert np.all(np.diag(matrix) == 0.0)
+
     def test_counter_reset_clears_cache_fields(self):
         c = DistCounter(evals=5, cache_hits=2, cache_misses=1)
         c.reset()
