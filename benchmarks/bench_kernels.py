@@ -16,10 +16,26 @@ shapes the solvers actually run, reporting Mevals/s for each:
   ``diff`` scratch, ~0.5 MiB, would be allocated fresh on every call
   below 512 KiB).
 
-Each tile is touched by ~7 elementwise passes, so the budget's job is to
+Each tile is touched by ~8 elementwise passes, so the budget's job is to
 keep a tile in L2: too-small tiles pay per-call overhead, too-large ones
-stream every pass through DRAM.  ``REPRO_BENCH_MAX_N`` caps the row
-counts (CI smoke).
+stream every pass through DRAM.
+
+The sweep's data is origin-centred normal, where no entry is
+cancellation-dominated and the kernels' refinement costs one compare.
+``test_refinement_shapes`` times the same eim-removal fold at the
+default budget on data where it does work, one shape on each side of
+the refinement's dense trigger, with the reference rows drawn from the
+points (as EIM's sample is, so every tile holding one has an exact
+zero):
+
+* **normal** — the sweep's origin-centred data (nothing refined);
+* **gau** — the paper's data (25 clusters in a 100-wide cube, sigma
+  0.1): a small share of each tile is refined entry by entry;
+* **far cluster** — unit-spread normal data offset 1e4 from the
+  origin: nearly every entry is a candidate, so whole tiles are
+  recomputed through the difference path.
+
+``REPRO_BENCH_MAX_N`` caps the row counts (CI smoke).
 """
 
 import os
@@ -27,9 +43,10 @@ import os
 import numpy as np
 
 from benchmarks.conftest import write_artifact
+from repro.data.synthetic import gau
 from repro.metric import kernels
 from repro.store import ArrayStream, ChunkedMetricSpace
-from repro.utils.chunking import DEFAULT_BLOCK_BYTES
+from repro.utils.chunking import DEFAULT_BLOCK_BYTES, resolve_chunk_size
 from repro.utils.tables import format_table
 from repro.utils.timing import timed
 
@@ -143,3 +160,54 @@ def test_chunk_size_sweep(artifact_dir, monkeypatch):
     for name in shapes:
         best = min(times[name].values())
         assert times[name][DEFAULT_BLOCK_BYTES] <= 5.0 * best, name
+
+
+def _fold_shapes() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    n = len(FOLD_X)
+    refs = np.sort(RNG.choice(n, size=len(FOLD_Y), replace=False))
+    gau_x = gau(n, seed=1)
+    far_x = RNG.normal(size=(n, 3)) + 1e4
+    return {
+        "normal": (FOLD_X, FOLD_Y),
+        "gau": (gau_x, gau_x[refs]),
+        "far cluster": (far_x, far_x[refs]),
+    }
+
+
+def test_refinement_shapes(artifact_dir, monkeypatch):
+    dense_calls = []
+    dense = kernels._refine_dense
+    monkeypatch.setattr(
+        kernels,
+        "_refine_dense",
+        lambda *args: dense_calls.append(1) or dense(*args),
+    )
+    rows = []
+    sides = {}
+    for name, (x, y) in _fold_shapes().items():
+        dense_calls.clear()
+        kernels.update_min_dists(np.full(len(x), np.inf), x, y)
+        tiles = -(-len(x) // resolve_chunk_size(len(y)))
+        sides[name] = len(dense_calls) / tiles
+        seconds = _best_of(
+            lambda: kernels.update_min_dists(np.full(len(x), np.inf), x, y)
+        )
+        rows.append(
+            [
+                name,
+                f"{len(x)}x{len(y)}",
+                f"{sides[name]:.0%}",
+                f"{len(x) * len(y) / seconds / 1e6:.1f}",
+            ]
+        )
+    text = format_table(
+        ["data", "fold", "dense tiles", "Mevals/s"],
+        rows,
+        title="A5: eim fold by data shape at the default tile budget "
+        "(higher is better)",
+    )
+    write_artifact(artifact_dir, "kernels_refinement_shapes", text)
+
+    # One shape on each side of the dense trigger.
+    assert sides["normal"] == 0.0 and sides["gau"] == 0.0
+    assert sides["far cluster"] == 1.0

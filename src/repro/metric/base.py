@@ -19,6 +19,7 @@ Two access patterns matter:
 from __future__ import annotations
 
 import abc
+import copy
 import hashlib
 import threading
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "DistCounter",
     "TaskCounter",
     "MetricSpace",
+    "Publishable",
     "as_index_array",
     "content_fingerprint",
 ]
@@ -164,31 +166,37 @@ def as_index_array(idx, n: int, name: str = "indices") -> np.ndarray:
     return arr
 
 
-class MetricSpace(abc.ABC):
-    """A finite metric space over points addressed by index ``0..n-1``.
+class Publishable:
+    """An object that can cross into process workers by a published handle.
 
-    Concrete subclasses implement the block primitives; all are required to
-    honour the metric axioms (see :func:`repro.metric.validation.check_metric_axioms`).
-
-    Index arguments ``i_idx`` / ``j_idx`` are 1-D integer arrays, or ``None``
-    meaning *all points* (an important fast path: no fancy-indexing copy).
+    :func:`repro.store.shm.shared_space` asks the job's space for
+    :meth:`shared_data`, publishes that array once per job, and hands the
+    workers :meth:`with_shared`'s clone, which pickles the handle in place
+    of the array.  Metric spaces and point streams both inherit this, so
+    an in-memory array crosses by reference whether a space holds it
+    directly or through an :class:`~repro.store.stream.ArrayStream`.
     """
 
-    #: Name of the in-memory float64 array that defines this space, which
-    #: :func:`repro.store.shm.shared_space` publishes once per job so the
-    #: space crosses into process workers by reference.  ``None``: the
-    #: space has no such array (out-of-core spaces re-open their backing).
+    #: Name of the in-memory float64 array that defines this object.
+    #: ``None``: there is no such array (out-of-core data re-opens its
+    #: backing in the worker).
     shared_array: str | None = None
 
     #: Handle of the published array while inside a ``shared_space``
     #: scope; pickling then ships the handle instead of the array.
     _shared = None
 
-    def __init__(self, n: int, counter: DistCounter | None = None):
-        if n < 0:
-            raise MetricError(f"space size must be >= 0, got {n}")
-        self._n = int(n)
-        self.counter = counter if counter is not None else DistCounter()
+    def shared_data(self) -> np.ndarray | None:
+        """The array to publish, or ``None`` (none, or already published)."""
+        if self.shared_array is None or self._shared is not None:
+            return None
+        return getattr(self, self.shared_array)
+
+    def with_shared(self, handle) -> "Publishable":
+        """A shallow clone that pickles ``handle`` in place of its array."""
+        clone = copy.copy(self)
+        clone._shared = handle
+        return clone
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -200,6 +208,23 @@ class MetricSpace(abc.ABC):
         self.__dict__.update(state)
         if self._shared is not None:
             setattr(self, self.shared_array, self._shared.attach())
+
+
+class MetricSpace(Publishable, abc.ABC):
+    """A finite metric space over points addressed by index ``0..n-1``.
+
+    Concrete subclasses implement the block primitives; all are required to
+    honour the metric axioms (see :func:`repro.metric.validation.check_metric_axioms`).
+
+    Index arguments ``i_idx`` / ``j_idx`` are 1-D integer arrays, or ``None``
+    meaning *all points* (an important fast path: no fancy-indexing copy).
+    """
+
+    def __init__(self, n: int, counter: DistCounter | None = None):
+        if n < 0:
+            raise MetricError(f"space size must be >= 0, got {n}")
+        self._n = int(n)
+        self.counter = counter if counter is not None else DistCounter()
 
     def release(self) -> None:
         """Drop per-view caches once a task is done with this space

@@ -3,14 +3,15 @@
 The process backend pickles every task, and a task over an in-memory
 space would otherwise drag the space's defining array (the ``(n, d)``
 coordinates of a :class:`~repro.metric.euclidean.EuclideanSpace`, the
-``(n, n)`` matrix of a :class:`~repro.metric.precomputed.PrecomputedSpace`)
+``(n, n)`` matrix of a :class:`~repro.metric.precomputed.PrecomputedSpace`,
+the array under a chunked space's :class:`~repro.store.stream.ArrayStream`)
 through the pipe — once per task, every round.  This module removes the
 copy: the driver **publishes** the array a space names in
-:attr:`~repro.metric.base.MetricSpace.shared_array` once per job into a
+:attr:`~repro.metric.base.Publishable.shared_array` once per job into a
 named :mod:`multiprocessing.shared_memory` segment, and the space then
 pickles as a tiny :class:`SharedPoints` *handle*; workers attach to the
 segment by name and map the same physical pages read-only.  This is the
-only route an in-memory space takes into a process worker.  Out-of-core
+only route an in-memory array takes into a process worker.  File-backed
 spaces never needed it — their streams already pickle by re-opening
 files (``MemmapStream.__reduce__``, shard directories) — so each backing
 crosses the boundary by reference, never by value.
@@ -41,7 +42,6 @@ Mechanics and guarantees:
 from __future__ import annotations
 
 import atexit
-import copy
 import os
 import tempfile
 from collections import OrderedDict
@@ -252,26 +252,28 @@ def shared_space(space, executor) -> Iterator:
     """Scope in which ``space`` crosses process boundaries by reference.
 
     When ``executor`` advertises ``crosses_process_boundary`` and
-    ``space`` names a :attr:`~repro.metric.base.MetricSpace.shared_array`,
+    ``space`` holds an in-memory array
+    (:meth:`~repro.metric.base.Publishable.shared_data`: its own
+    coordinates or matrix, or the array of the
+    :class:`~repro.store.stream.ArrayStream` under a chunked space),
     publishes that array and yields a shallow clone whose pickling ships
     a :class:`SharedPoints` handle instead of the array; otherwise yields
     ``space`` unchanged (sequential and thread backends share memory
-    natively, out-of-core spaces re-open their backing).  The published segment lives exactly as long as the
-    ``with`` block — error paths included — which is the solver-job /
-    batch lifetime.
+    natively, file-backed spaces re-open their backing).  The published
+    segment lives exactly as long as the ``with`` block — error paths
+    included — which is the solver-job / batch lifetime.
     """
     handle = None
     out = space
-    if (
-        getattr(executor, "crosses_process_boundary", False)
-        and space.shared_array is not None
-        and space._shared is None
-    ):
-        array = getattr(space, space.shared_array)
+    array = (
+        space.shared_data()
+        if getattr(executor, "crosses_process_boundary", False)
+        else None
+    )
+    if array is not None:
         with _trace.span("publish", cat="driver", bytes=int(array.nbytes)):
             handle = publish_points(array)
-        out = copy.copy(space)
-        out._shared = handle
+        out = space.with_shared(handle)
     try:
         yield out
     finally:

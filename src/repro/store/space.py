@@ -33,6 +33,7 @@ Access-pattern guidance (mirrors the in-memory space):
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 from typing import Union
@@ -151,6 +152,16 @@ class ChunkedMetricSpace(MetricSpace):
         with self._lock:
             self._chunks.clear()
             self._rows.clear()
+
+    def shared_data(self) -> np.ndarray | None:
+        # An in-memory ArrayStream publishes its array; file-backed
+        # streams re-open their backing in the worker.
+        return self.stream.shared_data()
+
+    def with_shared(self, handle) -> "ChunkedMetricSpace":
+        clone = copy.copy(self)
+        clone.stream = self.stream.with_shared(handle)
+        return clone
 
     def __copy__(self) -> "ChunkedMetricSpace":
         # Share the stream, caches and cache lock but allow the counter to

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.errors import DatasetError, InvalidParameterError
 from repro.metric import kernels
+from repro.metric.base import Publishable
 from repro.utils.chunking import chunk_bounds, resolve_chunk_size
 
 __all__ = [
@@ -69,7 +70,7 @@ def default_chunk_rows(
     return resolve_chunk_size(dim, itemsize=itemsize, block_bytes=chunk_bytes)
 
 
-class PointStream(abc.ABC):
+class PointStream(Publishable, abc.ABC):
     """Abstract chunked view of an ``(n, dim)`` point set.
 
     Subclasses call ``super().__init__(n, dim, chunk_size)`` and implement
@@ -182,8 +183,11 @@ class ArrayStream(PointStream):
     The adapter that lets everything written against :class:`PointStream`
     also run on ordinary arrays (and the reference implementation the
     out-of-core parity tests compare against).  Chunks are views — no
-    copies.
+    copies.  Inside a :func:`~repro.store.shm.shared_space` scope the
+    array is published and the stream pickles as a handle.
     """
+
+    shared_array = "points"
 
     def __init__(self, points, chunk_size: int | None = None):
         pts = kernels.as_points(points)

@@ -19,9 +19,10 @@ __all__ = [
 ]
 
 #: Default byte budget for one temporary distance block (a ``rows x refs``
-#: tile of the chunked kernels).  Each tile is touched by ~7 elementwise
-#: passes (GEMM output, scale, two norm adds, clip, cancellation check,
-#: row minimum), so it must stay resident in the per-core L2 cache: at
+#: tile of the chunked kernels).  Each tile is touched by ~8 elementwise
+#: passes (GEMM output, scale, two norm adds, clip, the cancellation
+#: check's compare against a scalar bound and its candidate scan, row
+#: minimum), so it must stay resident in the per-core L2 cache: at
 #: 256 KiB every pass after the GEMM hits cache instead of streaming
 #: through DRAM, which roughly tripled the running-min kernel's
 #: throughput over a 32 MiB budget.  Row blocking never changes a

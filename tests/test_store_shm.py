@@ -260,3 +260,40 @@ class TestPrecomputedOverProcessPool:
             assert not revived.matrix.flags.writeable
         assert space._shared is None
         assert len(pickle.dumps(space)) > matrix.nbytes
+
+
+class TestChunkedArrayOverProcessPool:
+    """A chunked space over an in-memory array (``as_space(array,
+    chunk_size=...)``) publishes the array under its
+    :class:`~repro.store.stream.ArrayStream`: its tasks cross as a handle
+    and every solver reproduces its sequential bits."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return np.random.default_rng(31).normal(size=(3000, 3))
+
+    def test_published_clone_pickles_under_a_kib(self, big):
+        space = repro.as_space(big, chunk_size=512)
+        with shared_space(space, ProcessPoolExecutorBackend(max_workers=1)) as out:
+            blob = pickle.dumps(out)
+            assert len(blob) < 1024
+            revived = pickle.loads(blob)
+            assert np.array_equal(revived.stream.points, big)
+            assert not revived.stream.points.flags.writeable
+            centers = np.arange(0, 3000, 300)
+            assert revived.covering_radius(centers) == space.covering_radius(centers)
+        assert space.stream._shared is None  # original untouched
+        assert len(pickle.dumps(space)) > big.nbytes
+
+    @pytest.mark.parametrize("algo", ["mrg", "mr_hs", "eim"])
+    def test_solver_bit_identical_to_sequential(self, big, algo):
+        def solve(**kw):
+            space = repro.as_space(big, chunk_size=512)
+            return repro.solve(space, 6, algo, m=5, seed=4, **kw)
+
+        ref = solve()
+        with ProcessPoolExecutorBackend(max_workers=2) as ex:
+            got = solve(executor=ex)
+        assert np.array_equal(got.centers, ref.centers)
+        assert got.radius == ref.radius
+        assert got.stats.dist_evals == ref.stats.dist_evals
